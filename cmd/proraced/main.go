@@ -46,6 +46,7 @@ import (
 	"prorace/internal/pmu/driver"
 	"prorace/internal/prog"
 	"prorace/internal/progtest"
+	"prorace/internal/replay"
 	"prorace/internal/telemetry"
 	"prorace/internal/tracefmt"
 	"prorace/internal/workload"
@@ -131,6 +132,7 @@ func cmdServe(args []string) error {
 		// Strict stays false: a degraded window is a tenant problem, not a
 		// daemon problem.
 		Analysis: core.AnalysisOptions{
+			Mode:         replay.ModeForwardBackward,
 			Workers:      *analysisWorkers,
 			DetectShards: *detectShards,
 		},

@@ -141,8 +141,9 @@ func TraceProgram(p *prog.Program, opts TraceOptions) (*TraceResult, error) {
 
 // AnalysisOptions configures the offline phase.
 type AnalysisOptions struct {
-	// Mode selects the reconstruction algorithm (default ForwardBackward —
-	// full ProRace).
+	// Mode selects the reconstruction algorithm. The zero value is
+	// replay.ModeBasicBlock, the RaceZ baseline; full ProRace needs
+	// replay.ModeForwardBackward.
 	Mode replay.Mode
 	// Workers fans PT decoding/synthesis and replay reconstruction out
 	// across a worker pool, streaming each thread's reconstructed accesses

@@ -10,7 +10,7 @@ import (
 // propagation) and un-executing invertible instructions (reverse
 // execution). Memory operands whose address registers become known are
 // recovered; register facts that the forward pass lacked are recorded as
-// learned facts for the next forward iteration (the paper's "yet another
+// learned facts for the second forward pass (the paper's "yet another
 // forward replay starting from the youngest instruction").
 //
 // It returns the number of newly recovered accesses.
@@ -50,7 +50,7 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 		// the following step). The next forward pass restores the value
 		// right where backward propagation reached its definition — the
 		// paper's "yet another forward replay starting from the youngest
-		// instruction", iterated to a fixed point.
+		// instruction".
 		post := cur
 		e.unexecute(in, &cur)
 		for _, d := range in.AppendDefs(regBuf[:0]) {

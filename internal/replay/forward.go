@@ -20,9 +20,9 @@ func (f *regFacts) set(r isa.Reg, v uint64) {
 }
 
 // pathState carries the per-path working arrays shared by the forward and
-// backward passes across fixed-point iterations. States are pooled by the
-// engine and reset per thread, so steady-state reconstruction reuses the
-// slices and map buckets of earlier threads instead of reallocating them.
+// backward passes. States are pooled by the engine and reset per thread, so
+// steady-state reconstruction reuses the slices and map buckets of earlier
+// threads instead of reallocating them.
 type pathState struct {
 	tt     *synthesis.ThreadTrace
 	origin []Origin // per step; originNone when unrecovered
@@ -140,40 +140,43 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace) ([]Access, Stats) {
 		}
 	}
 
-	for iter := 0; iter < e.cfg.MaxIterations; iter++ {
-		st.Iterations = iter + 1
-		newly := e.forwardPass(ps, &st)
-		if e.cfg.Mode == ModeForward {
-			break
-		}
-		newly += e.backwardPass(ps)
-		if newly == 0 && iter > 0 {
-			break
+	// Forward, backward, forward is the fixed point (DESIGN.md §5 item 6): a
+	// second backward sweep would learn nothing new. Only the final forward
+	// pass counts InvalidHits.
+	st.Iterations = 1
+	st.InvalidHits = e.forwardPass(ps)
+	if e.cfg.Mode == ModeForwardBackward {
+		e.backwardPass(ps)
+		if len(ps.learnedFacts) > 0 {
+			st.Iterations = 2
+			st.InvalidHits = e.forwardPass(ps)
 		}
 	}
 
-	accesses := e.collect(ps, &st)
+	return e.appendUnpinned(e.collect(ps, &st), tt, &st), st
+}
 
-	// Samples that could not be pinned to the path still contribute. On a
-	// complete path every instruction was already visited, so the
-	// block-relative TSC guesses bbForRecord fabricates for a sample's
-	// neighbours would only duplicate path recoveries — and a static block
-	// can span a sync syscall, so a guessed timestamp can drop an access on
-	// the wrong side of its own thread's acquire or release, manufacturing
-	// a race the execution never had. Emit just the sampled access itself
-	// (exact address, exact TSC); fall back to full block reconstruction
-	// only when the path is missing or degraded and may genuinely lack the
-	// sample's block.
+// appendUnpinned adds the samples that could not be pinned to the path:
+// they still contribute. On a complete path every instruction was already
+// visited, so the block-relative TSC guesses bbForRecord fabricates for a
+// sample's neighbours would only duplicate path recoveries — and a static
+// block can span a sync syscall, so a guessed timestamp can drop an access
+// on the wrong side of its own thread's acquire or release, manufacturing
+// a race the execution never had. Emit just the sampled access itself
+// (exact address, exact TSC); fall back to full block reconstruction only
+// when the path is missing or degraded and may genuinely lack the sample's
+// block.
+func (e *Engine) appendUnpinned(accesses []Access, tt *synthesis.ThreadTrace, st *Stats) []Access {
 	pathComplete := tt.Path.Len() > 0 && !tt.Path.Degraded()
 	for i := range tt.UnpinnedSamples {
 		rec := &tt.UnpinnedSamples[i]
 		if pathComplete {
-			accesses = append(accesses, e.sampleAccess(rec, &st))
+			accesses = append(accesses, e.sampleAccess(rec, st))
 			continue
 		}
-		accesses = append(accesses, e.bbForRecord(rec, &st)...)
+		accesses = append(accesses, e.bbForRecord(rec, st)...)
 	}
-	return accesses, st
+	return accesses
 }
 
 // sampleAccess converts one PEBS record into the access it directly
@@ -198,8 +201,9 @@ func (e *Engine) sampleAccess(rec *tracefmt.PEBSRecord, st *Stats) Access {
 // forwardPass is the §5.1 forward replay over the whole path: registers are
 // restored at every sample, availability is tracked in the program map, and
 // every memory operand whose address becomes computable is recovered.
-// It returns the number of newly recovered accesses.
-func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
+// It returns the number of loads whose emulated value InvalidAddrs
+// suppressed (Stats.InvalidHits).
+func (e *Engine) forwardPass(ps *pathState) int {
 	var rf regFile // all-unavailable before the first sample
 	mem := ps.mem
 	clear(mem) // each pass starts with no trusted emulated memory
@@ -213,7 +217,7 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
 	invalid := e.cfg.InvalidAddrs
 	hasInvalid := len(invalid) > 0
 	invalidAddr := func(addr uint64) bool { return hasInvalid && invalid[addr] }
-	newly := 0
+	hits := 0
 
 	for i, pc := range ps.tt.Path.PCs {
 		// Apply backward-derived facts for this step's pre-state.
@@ -260,7 +264,6 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
 				ps.origin[i] = OriginForward
 				ps.addrs[i] = addr
 				ps.recovered++
-				newly++
 			}
 			switch in.Op {
 			case isa.LOAD:
@@ -268,7 +271,7 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
 					rf.set(in.Rd, v)
 				} else {
 					if okAddr && invalidAddr(addr) {
-						st.InvalidHits++
+						hits++
 					}
 					rf.clear(in.Rd)
 				}
@@ -334,7 +337,7 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
 			// CMP/CMPI set flags only; branches are path-driven.
 		}
 	}
-	return newly
+	return hits
 }
 
 // collect turns the per-step recovery state into the access list. The

@@ -16,7 +16,8 @@
 //   - ModeForwardBackward — full ProRace (§5.2): forward replay plus
 //     backward replay (backward propagation of the next sample's register
 //     file to each register's last definition, and reverse execution of
-//     invertible instructions), iterated to a fixed point.
+//     invertible instructions), then one more forward replay that applies
+//     the facts backward replay learned — which reaches the fixed point.
 //
 // PC-relative and absolute addresses are recoverable wherever the path is
 // known, even with no live register — the reason the paper's Table 2 shows
@@ -42,8 +43,8 @@ const (
 	ModeBasicBlock Mode = iota
 	// ModeForward runs path-guided forward replay only.
 	ModeForward
-	// ModeForwardBackward runs forward and backward replay to a fixed
-	// point (full ProRace).
+	// ModeForwardBackward runs forward, backward and, when backward replay
+	// learned register facts, forward replay again (full ProRace).
 	ModeForwardBackward
 )
 
@@ -68,8 +69,6 @@ type Config struct {
 	EmulateMemory bool
 	// MaxBackwardSteps bounds one backward walk (default 200k).
 	MaxBackwardSteps int
-	// MaxIterations bounds forward/backward fixed-point rounds (default 3).
-	MaxIterations int
 	// InvalidAddrs are addresses whose emulated-memory contents must not
 	// be trusted — the detector feeds back racy locations here and
 	// reconstruction is re-run, implementing §5.1's trace regeneration.
@@ -115,12 +114,12 @@ type Stats struct {
 	BasicBlock  int
 	PathSteps   int
 	MemSteps    int // memory-access instructions on the path
-	Iterations  int
-	InvalidHits int // accesses suppressed by InvalidAddrs feedback
+	Iterations  int // forward passes: 1, or 2 once backward replay learned facts
+	InvalidHits int // loads InvalidAddrs denied an emulated value, in the final forward pass
 }
 
 // Merge folds another thread's stats into s: counters add, Iterations
-// keeps the maximum (the fixed-point depth of the slowest thread). Every
+// keeps the maximum (the forward passes of the deepest thread). Every
 // aggregation path must go through here so newly added fields are never
 // silently dropped by a hand-rolled merge.
 func (s *Stats) Merge(o Stats) {
@@ -186,9 +185,9 @@ func newEngineMetrics(tel *telemetry.Registry) engineMetrics {
 		bb:          tel.Counter("prorace_replay_accesses_bb_total", "Accesses recovered by static basic-block reconstruction (replay.Stats.BasicBlock)."),
 		pathSteps:   tel.Counter("prorace_replay_path_steps_total", "Decoded path steps walked (replay.Stats.PathSteps)."),
 		memSteps:    tel.Counter("prorace_replay_mem_steps_total", "Memory-access instructions on walked paths (replay.Stats.MemSteps)."),
-		invalidHits: tel.Counter("prorace_replay_invalid_hits_total", "Accesses suppressed by §5.1 racy-address feedback (replay.Stats.InvalidHits)."),
+		invalidHits: tel.Counter("prorace_replay_invalid_hits_total", "Loads denied an emulated value by §5.1 racy-address feedback, counted once per load (replay.Stats.InvalidHits)."),
 		recycles:    tel.Counter("prorace_replay_pool_recycles_total", "Reconstructions served by a warm pooled pathState."),
-		iterations:  tel.Histogram("prorace_replay_iterations", "Forward/backward fixed-point rounds per thread (replay.Stats.Iterations).", telemetry.DepthBuckets),
+		iterations:  tel.Histogram("prorace_replay_iterations", "Forward replay passes per thread: 1, or 2 once backward replay learned facts (replay.Stats.Iterations).", telemetry.DepthBuckets),
 	}
 }
 
@@ -212,9 +211,6 @@ func (m *engineMetrics) publish(st *Stats) {
 func NewEngine(p *prog.Program, cfg Config) *Engine {
 	if cfg.MaxBackwardSteps == 0 {
 		cfg.MaxBackwardSteps = 200_000
-	}
-	if cfg.MaxIterations == 0 {
-		cfg.MaxIterations = 3
 	}
 	if cfg.Mode != ModeBasicBlock && !cfg.EmulateMemory {
 		// EmulateMemory defaults to on; Config{} from callers who did not

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"slices"
 	"testing"
 
 	"prorace/internal/asm"
@@ -436,6 +437,81 @@ func TestInvalidAddrFeedbackSuppressesEmulation(t *testing.T) {
 	nFree := derefRecoveries(t, p, eFree, tts, g)
 	if n >= nFree {
 		t.Errorf("invalidating the racy slot must reduce recoveries: %d vs %d", n, nFree)
+	}
+}
+
+// TestInvalidHitsCountedOncePerLoad pins Stats.InvalidHits to one count
+// per load whose emulated value the invalid set suppressed: only the final
+// forward pass counts, so a thread that runs two forward passes is not
+// counted twice. Sampled loads carry their value and are never suppressed.
+func TestInvalidHitsCountedOncePerLoad(t *testing.T) {
+	p := chainWorkload(false)
+	slot := p.MustLookup("slot").Addr
+	var reloadPC uint64
+	for i, in := range p.Insts {
+		if in.Op == isa.LOAD && in.Rd == isa.R5 {
+			reloadPC = isa.IndexToAddr(i)
+		}
+	}
+	e := NewEngine(p, Config{Mode: ModeForwardBackward, InvalidAddrs: map[uint64]bool{slot: true}})
+	for _, tc := range []struct {
+		period     uint64
+		iterations int
+	}{
+		{10_000_000, 1}, // no samples: backward replay learns nothing
+		{97, 2},
+	} {
+		_, tts := traceProgram(t, p, tc.period, 5)
+		want := 0
+		for _, tt := range tts {
+			sampled := map[int]bool{}
+			for _, s := range tt.Samples {
+				sampled[s.StepIndex] = true
+			}
+			for i, pc := range tt.Path.PCs {
+				if pc == reloadPC && !sampled[i] {
+					want++
+				}
+			}
+		}
+		_, st := e.ReconstructAll(tts)
+		if st.Iterations != tc.iterations {
+			t.Errorf("period %d: %d forward passes, want %d", tc.period, st.Iterations, tc.iterations)
+		}
+		if want == 0 || st.InvalidHits != want {
+			t.Errorf("period %d: InvalidHits = %d, want one per unsampled reload (%d)", tc.period, st.InvalidHits, want)
+		}
+	}
+}
+
+// TestBackwardSweepIsIdempotent pins the convergence argument behind the
+// fixed pass sequence: after forward, backward, forward, a further backward
+// sweep recovers nothing and records no new learned fact, so neither it nor
+// a third forward pass could change the result.
+func TestBackwardSweepIsIdempotent(t *testing.T) {
+	p := fig5Workload()
+	e := NewEngine(p, Config{Mode: ModeForwardBackward})
+	learned := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		_, tts := traceProgram(t, p, 97, seed)
+		for tid, tt := range tts {
+			ps := &pathState{}
+			ps.reset(tt)
+			e.forwardPass(ps)
+			e.backwardPass(ps)
+			e.forwardPass(ps)
+			idx, facts := slices.Clone(ps.learnedIdx), slices.Clone(ps.learnedFacts)
+			if n := e.backwardPass(ps); n != 0 {
+				t.Errorf("seed %d tid %d: second backward sweep recovered %d accesses", seed, tid, n)
+			}
+			if !slices.Equal(idx, ps.learnedIdx) || !slices.Equal(facts, ps.learnedFacts) {
+				t.Errorf("seed %d tid %d: second backward sweep changed the learned facts", seed, tid)
+			}
+			learned += len(facts)
+		}
+	}
+	if learned == 0 {
+		t.Fatal("backward replay learned no facts: the test exercises nothing")
 	}
 }
 

@@ -32,8 +32,9 @@
 //   - replay.Stats{Sampled, Forward, Backward, BasicBlock, PathSteps,
 //     MemSteps, InvalidHits} → prorace_replay_accesses_sampled_total,
 //     _forward_total, _backward_total, _bb_total, prorace_replay_path_steps_total,
-//     _mem_steps_total, _invalid_hits_total; Stats.Iterations (per-thread
-//     fixed-point rounds) → the prorace_replay_iterations histogram.
+//     _mem_steps_total, _invalid_hits_total; Stats.Iterations (forward
+//     replay passes per thread: 1, or 2 once backward replay learned
+//     facts) → the prorace_replay_iterations histogram.
 //   - core.AnalysisResult.DecodeCacheHit → prorace_synthesis_cache_hits_total /
 //     prorace_synthesis_cache_misses_total (one increment per analysis).
 //   - tracefmt.SalvageInfo{Truncated, TornBytes, DroppedPEBS, DroppedSync,
