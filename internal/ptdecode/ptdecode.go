@@ -21,6 +21,8 @@ package ptdecode
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"prorace/internal/isa"
 	"prorace/internal/prog"
@@ -54,8 +56,13 @@ type Gap struct {
 // Path is one thread's decoded execution.
 type Path struct {
 	TID int32
-	// PCs is the sequence of executed instruction addresses.
+	// PCs is the sequence of executed instruction addresses, allocated at
+	// exactly its final length (cap == len); nil when nothing was decoded.
 	PCs []uint64
+	// Syscalls are the ascending indices into PCs of the SYSCALL steps,
+	// recorded as the walk emits them so synthesis can pin sync records
+	// without scanning the whole path.
+	Syscalls []int
 	// Markers are the TSC packets in decode order (ascending StepIndex).
 	Markers []Marker
 	// Truncated is true when decoding stopped because the stream ended
@@ -105,15 +112,29 @@ type Options struct {
 // small no matter what the packet claims.
 const runChunkGroups = 4096
 
+// pcBufs pools the growable step buffers decodes append into. A finished
+// path is copied out of its buffer once, at exact length, so a long path
+// costs one allocation instead of a chain of slice growths, and the buffer's
+// capacity is reused by the next decode. Each concurrent decode takes its
+// own buffer.
+var pcBufs = sync.Pool{New: func() any { return new([]uint64) }}
+
 // decoder state over one stream.
 type decoder struct {
 	prog    *prog.Program
 	rdr     *tracefmt.PTReader
 	path    *Path
+	pcs     []uint64 // the path's steps so far, in a pooled buffer
 	lenient bool
 	bits    []bool   // pending TNT outcomes
 	tips    []uint64 // pending TIP targets
 	stack   []uint64 // call stack for RET compression
+	// bitBuf and tipBuf keep the start of bits' and tips' backing arrays:
+	// consuming from the front gives capacity up, and refill (which only
+	// appends to empty queues) starts each batch back at the front instead
+	// of growing a fresh array.
+	bitBuf  []bool
+	tipBuf  []uint64
 	done    bool
 	lastErr error
 
@@ -142,6 +163,7 @@ type decoder struct {
 
 // expandRun materialises up to runChunkGroups groups of the pending run.
 func (d *decoder) expandRun() {
+	d.bits = d.bitBuf[:0]
 	n := d.runLeft
 	if n > runChunkGroups {
 		n = runChunkGroups
@@ -158,6 +180,7 @@ func (d *decoder) expandRun() {
 		d.runIdx++
 	}
 	d.runLeft -= n
+	d.bitBuf = d.bits
 }
 
 // clearPending drops all queued decode state; it is poisoned once the
@@ -194,7 +217,7 @@ func (d *decoder) refill() {
 			d.stack = d.stack[:0]
 			pc, skipped, ok := d.rdr.Resync()
 			d.path.Gaps = append(d.path.Gaps, Gap{
-				StepIndex: len(d.path.PCs), Offset: off, Skipped: skipped, Reason: err.Error(),
+				StepIndex: len(d.pcs), Offset: off, Skipped: skipped, Reason: err.Error(),
 			})
 			if !ok {
 				d.done = true
@@ -213,9 +236,11 @@ func (d *decoder) refill() {
 		d.path.Packets++
 		switch pkt.Kind {
 		case tracefmt.PktTNT, tracefmt.PktTNT6:
+			d.bits = d.bitBuf[:0]
 			for i := uint8(0); i < pkt.NBits; i++ {
 				d.bits = append(d.bits, pkt.Bits&(1<<i) != 0)
 			}
+			d.bitBuf = d.bits
 		case tracefmt.PktTNTRep, tracefmt.PktTNTRepEx:
 			// Each step consumes at most one TNT bit, so a run the walk
 			// could never finish within its remaining step budget cannot be
@@ -223,13 +248,13 @@ func (d *decoder) refill() {
 			// parsing as a huge repeat count). Resync instead of spinning
 			// the walk for millions of steps on a fiction.
 			if d.lenient && !d.draining &&
-				uint64(pkt.Count)*uint64(pkt.NBits) > uint64(d.maxSteps-len(d.path.PCs)) {
+				uint64(pkt.Count)*uint64(pkt.NBits) > uint64(d.maxSteps-len(d.pcs)) {
 				d.path.CorruptPackets++
 				off := d.rdr.Offset()
 				d.stack = d.stack[:0]
 				pc, skipped, ok := d.rdr.Resync()
 				d.path.Gaps = append(d.path.Gaps, Gap{
-					StepIndex: len(d.path.PCs), Offset: off, Skipped: skipped,
+					StepIndex: len(d.pcs), Offset: off, Skipped: skipped,
 					Reason: fmt.Sprintf("TNT run of %d bits exceeds step budget", uint64(pkt.Count)*uint64(pkt.NBits)),
 				})
 				if !ok {
@@ -244,9 +269,10 @@ func (d *decoder) refill() {
 			d.runLeft, d.runIdx = pkt.Count, 0
 			d.runExc, d.runEi = pkt.Exceptions, 0
 		case tracefmt.PktTIP:
-			d.tips = append(d.tips, pkt.Target)
+			d.tips = append(d.tipBuf[:0], pkt.Target)
+			d.tipBuf = d.tips
 		case tracefmt.PktTSC:
-			d.path.Markers = append(d.path.Markers, Marker{TSC: pkt.TSC, StepIndex: len(d.path.PCs)})
+			d.path.Markers = append(d.path.Markers, Marker{TSC: pkt.TSC, StepIndex: len(d.pcs)})
 		case tracefmt.PktPSB:
 			// Sync point. On a clean stream the refill that reads it is
 			// requested by exactly the instruction the encoder anchored it
@@ -255,7 +281,7 @@ func (d *decoder) refill() {
 			if d.lenient && !d.draining && d.walkPC != 0 && pkt.Target != d.walkPC {
 				d.path.CorruptPackets++
 				d.path.Gaps = append(d.path.Gaps, Gap{
-					StepIndex: len(d.path.PCs), Offset: d.rdr.Offset(),
+					StepIndex: len(d.pcs), Offset: d.rdr.Offset(),
 					Reason: fmt.Sprintf("PSB anchor %#x disagrees with walk at %#x", pkt.Target, d.walkPC),
 				})
 				d.stack = d.stack[:0] // the encoder reset its stack at the PSB
@@ -314,7 +340,7 @@ func (d *decoder) reanchor(reason string) (uint64, bool) {
 	d.clearPending()
 	pc, skipped, ok := d.rdr.Resync()
 	d.path.Gaps = append(d.path.Gaps, Gap{
-		StepIndex: len(d.path.PCs), Offset: off, Skipped: skipped, Reason: reason,
+		StepIndex: len(d.pcs), Offset: off, Skipped: skipped, Reason: reason,
 	})
 	if !ok {
 		d.done = true
@@ -336,13 +362,29 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 	if maxSteps <= 0 {
 		maxSteps = 100_000_000
 	}
+	buf := pcBufs.Get().(*[]uint64)
 	d := &decoder{
 		prog:     p,
 		rdr:      tracefmt.NewPTReader(stream),
 		path:     &Path{TID: tid},
+		pcs:      (*buf)[:0],
 		lenient:  opts.Lenient,
 		maxSteps: maxSteps,
 	}
+	path, err := d.walk(tid)
+	if path != nil && len(d.pcs) > 0 {
+		path.PCs = slices.Clip(slices.Clone(d.pcs))
+	}
+	*buf = d.pcs
+	pcBufs.Put(buf)
+	return path, err
+}
+
+// walk decodes the whole stream into d.pcs and d.path. It returns d.path
+// (nil when the stream lacks even an anchor and is corrupt) and the
+// strict-mode error that stopped the walk, if any.
+func (d *decoder) walk(tid int32) (*Path, error) {
+	p := d.prog
 	// Anchor: the stream must start with (TSC,) TIP carrying the entry.
 	pc, ok := d.nextTIP()
 	if !ok {
@@ -356,7 +398,7 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 		}
 	}
 
-	for len(d.path.PCs) < maxSteps {
+	for len(d.pcs) < d.maxSteps {
 		in, okInst := p.InstAt(pc)
 		if !okInst {
 			if pc == 0 {
@@ -379,7 +421,10 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 			break
 		}
 		d.walkPC = pc
-		d.path.PCs = append(d.path.PCs, pc)
+		d.pcs = append(d.pcs, pc)
+		if in.Op == isa.SYSCALL {
+			d.path.Syscalls = append(d.path.Syscalls, len(d.pcs)-1)
+		}
 
 		switch {
 		case in.IsCondBranch():

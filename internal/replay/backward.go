@@ -45,18 +45,26 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 		}
 
 		// Derive the pre-state of step i from its post-state in cur —
-		// but first record, for each register this step defines and whose
-		// post-value we know, a learned fact at step i+1 (the pre-state of
-		// the following step). The next forward pass restores the value
-		// right where backward propagation reached its definition — the
-		// paper's "yet another forward replay starting from the youngest
-		// instruction".
-		post := cur
+		// but first record, for the register this step defines (at most
+		// one) if we know its post-value, a learned fact at step i+1 (the
+		// pre-state of the following step). The next forward pass restores
+		// the value right where backward propagation reached its
+		// definition — the paper's "yet another forward replay starting
+		// from the youngest instruction". Only the defined register's
+		// post-state is saved, not the whole register file.
+		defs := in.AppendDefs(regBuf[:0])
+		var (
+			def     isa.Reg
+			postHas bool
+			postVal uint64
+		)
+		if len(defs) > 0 {
+			def = defs[0]
+			postHas, postVal = cur.has(def), cur.get(def)
+		}
 		e.unexecute(in, &cur)
-		for _, d := range in.AppendDefs(regBuf[:0]) {
-			if post.has(d) && (!cur.has(d) || cur.get(d) != post.get(d)) {
-				ps.learnFact(hi, i+1, d, post.get(d))
-			}
+		if postHas && (!cur.has(def) || cur.get(def) != postVal) {
+			ps.learnFact(hi, i+1, def, postVal)
 		}
 
 		// cur is now the pre-state of step i: evaluate the memory operand.

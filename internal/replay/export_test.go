@@ -26,7 +26,8 @@ func (e *Engine) ReconstructIterated(tt *synthesis.ThreadTrace) ([]Access, Stats
 	for iter := 0; iter < 3; iter++ {
 		st.Iterations = iter + 1
 		before := ps.recovered
-		st.InvalidHits += e.forwardPass(ps)
+		hits, _ := e.forwardPass(ps)
+		st.InvalidHits += hits
 		if e.cfg.Mode == ModeForward {
 			break
 		}

@@ -22,7 +22,9 @@ func (f *regFacts) set(r isa.Reg, v uint64) {
 // pathState carries the per-path working arrays shared by the forward and
 // backward passes. States are pooled by the engine and reset per thread, so
 // steady-state reconstruction reuses the slices and map buckets of earlier
-// threads instead of reallocating them.
+// threads instead of reallocating them. The passes read tt.Samples and
+// tt.Sync through cursors that advance with the step index, relying on the
+// ordering ThreadTrace documents, so no per-step record table is needed.
 type pathState struct {
 	tt     *synthesis.ThreadTrace
 	origin []Origin // per step; originNone when unrecovered
@@ -40,10 +42,6 @@ type pathState struct {
 	// per-step map lookups dominated the replay CPU profile besides.
 	learnedIdx   []int32
 	learnedFacts []regFacts
-	// sampleAt holds each step's PEBS record, nil when unsampled.
-	sampleAt []*tracefmt.PEBSRecord
-	// syncAt holds each step's pinned synchronization record, nil if none.
-	syncAt []*tracefmt.SyncRecord
 	// mem is the forward pass's emulated-memory map, cleared at every pass
 	// and reused so its buckets survive across passes and threads.
 	mem map[uint64]uint64
@@ -71,25 +69,52 @@ func (ps *pathState) reset(tt *synthesis.ThreadTrace) {
 	ps.addrs = resetSlice(ps.addrs, n)
 	ps.fwdAvail = resetSlice(ps.fwdAvail, n)
 	ps.learnedIdx = resetSlice(ps.learnedIdx, n)
-	ps.sampleAt = resetSlice(ps.sampleAt, n)
-	ps.syncAt = resetSlice(ps.syncAt, n)
 	ps.learnedFacts = ps.learnedFacts[:0]
 	if ps.mem == nil {
 		ps.mem = map[uint64]uint64{}
 	}
 	ps.recovered = 0
-	for i := range tt.Samples {
-		s := &tt.Samples[i]
-		if s.StepIndex >= 0 && s.StepIndex < n {
-			ps.sampleAt[s.StepIndex] = &s.Rec
+}
+
+// sampleCursor walks tt.Samples, which are ascending by StepIndex, in step
+// with a pass over the path.
+type sampleCursor struct {
+	samples []synthesis.Sample
+	next    int
+}
+
+// at returns the record sampled at step, or nil. Steps must be asked for in
+// ascending order. Records at earlier steps (or at -1) are skipped, and
+// when several share the step the last one wins.
+func (c *sampleCursor) at(step int) *tracefmt.PEBSRecord {
+	var rec *tracefmt.PEBSRecord
+	for c.next < len(c.samples) && c.samples[c.next].StepIndex <= step {
+		if c.samples[c.next].StepIndex == step {
+			rec = &c.samples[c.next].Rec
 		}
+		c.next++
 	}
-	for i := range tt.Sync {
-		s := &tt.Sync[i]
-		if s.StepIndex >= 0 && s.StepIndex < n {
-			ps.syncAt[s.StepIndex] = &s.Rec
+	return rec
+}
+
+// syncCursor walks tt.Sync, whose pinned steps are ascending (unpinned
+// records, at -1, may sit anywhere), in step with a pass over the path.
+type syncCursor struct {
+	sync []synthesis.SyncStep
+	next int
+}
+
+// at returns the synchronization record pinned at step, or nil, with the
+// same contract as sampleCursor.at.
+func (c *syncCursor) at(step int) *tracefmt.SyncRecord {
+	var rec *tracefmt.SyncRecord
+	for c.next < len(c.sync) && c.sync[c.next].StepIndex <= step {
+		if c.sync[c.next].StepIndex == step {
+			rec = &c.sync[c.next].Rec
 		}
+		c.next++
 	}
+	return rec
 }
 
 // learnedAt returns the facts recorded at step, or nil.
@@ -112,12 +137,11 @@ func (ps *pathState) learnedSlot(step int) *regFacts {
 	return &ps.learnedFacts[len(ps.learnedFacts)-1]
 }
 
-// release drops every reference into the thread's trace so a pooled state
-// never pins decoded paths or samples beyond its use.
+// release drops the reference to the thread's trace so a pooled state
+// never pins decoded paths or samples beyond its use; the per-step arrays
+// hold no pointers.
 func (ps *pathState) release() {
 	ps.tt = nil
-	clear(ps.sampleAt)
-	clear(ps.syncAt)
 	clear(ps.mem)
 }
 
@@ -134,22 +158,17 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace) ([]Access, Stats) {
 	ps.reset(tt)
 	var st Stats
 	st.PathSteps = tt.Path.Len()
-	for _, pc := range tt.Path.PCs {
-		if in, ok := e.p.InstAt(pc); ok && in.IsMemAccess() {
-			st.MemSteps++
-		}
-	}
 
 	// Forward, backward, forward is the fixed point (DESIGN.md §5 item 6): a
 	// second backward sweep would learn nothing new. Only the final forward
-	// pass counts InvalidHits.
+	// pass counts InvalidHits; the first also counts MemSteps.
 	st.Iterations = 1
-	st.InvalidHits = e.forwardPass(ps)
+	st.InvalidHits, st.MemSteps = e.forwardPass(ps)
 	if e.cfg.Mode == ModeForwardBackward {
 		e.backwardPass(ps)
 		if len(ps.learnedFacts) > 0 {
 			st.Iterations = 2
-			st.InvalidHits = e.forwardPass(ps)
+			st.InvalidHits, _ = e.forwardPass(ps)
 		}
 	}
 
@@ -202,8 +221,9 @@ func (e *Engine) sampleAccess(rec *tracefmt.PEBSRecord, st *Stats) Access {
 // restored at every sample, availability is tracked in the program map, and
 // every memory operand whose address becomes computable is recovered.
 // It returns the number of loads whose emulated value InvalidAddrs
-// suppressed (Stats.InvalidHits).
-func (e *Engine) forwardPass(ps *pathState) int {
+// suppressed (Stats.InvalidHits) and the number of memory-access
+// instructions on the path (Stats.MemSteps).
+func (e *Engine) forwardPass(ps *pathState) (invalidHits, memSteps int) {
 	var rf regFile // all-unavailable before the first sample
 	mem := ps.mem
 	clear(mem) // each pass starts with no trusted emulated memory
@@ -218,8 +238,11 @@ func (e *Engine) forwardPass(ps *pathState) int {
 	hasInvalid := len(invalid) > 0
 	invalidAddr := func(addr uint64) bool { return hasInvalid && invalid[addr] }
 	hits := 0
+	samples := sampleCursor{samples: ps.tt.Samples}
+	syncs := syncCursor{sync: ps.tt.Sync}
 
-	for i, pc := range ps.tt.Path.PCs {
+	pcs := ps.tt.Path.PCs
+	for i, pc := range pcs {
 		// Apply backward-derived facts for this step's pre-state.
 		if facts := ps.learnedAt(i); facts != nil {
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
@@ -232,12 +255,22 @@ func (e *Engine) forwardPass(ps *pathState) int {
 
 		in, okInst := e.p.InstAt(pc)
 		if !okInst {
+			// Replay stops here; count the memory steps of the tail the
+			// pass does not walk.
+			for _, pc := range pcs[i+1:] {
+				if in, ok := e.p.InstAt(pc); ok && in.IsMemAccess() {
+					memSteps++
+				}
+			}
 			break
+		}
+		if in.IsMemAccess() {
+			memSteps++
 		}
 
 		// A sampled step: the record supplies the exact address and the
 		// full post-retirement register file.
-		if rec := ps.sampleAt[i]; rec != nil {
+		if rec := samples.at(i); rec != nil {
 			if !ps.known[i] {
 				ps.known[i] = true
 				ps.origin[i] = OriginSampled
@@ -318,7 +351,7 @@ func (e *Engine) forwardPass(ps *pathState) int {
 		case isa.SYSCALL:
 			// Emulated memory cannot be trusted across a syscall (§5.1).
 			memDrop()
-			if rec := ps.syncAt[i]; rec != nil {
+			if rec := syncs.at(i); rec != nil {
 				switch rec.Kind {
 				case tracefmt.SyncMalloc, tracefmt.SyncThreadCreate:
 					// The sync log records the result, so the replay can
@@ -337,7 +370,7 @@ func (e *Engine) forwardPass(ps *pathState) int {
 			// CMP/CMPI set flags only; branches are path-driven.
 		}
 	}
-	return hits
+	return hits, memSteps
 }
 
 // collect turns the per-step recovery state into the access list. The
@@ -345,6 +378,7 @@ func (e *Engine) forwardPass(ps *pathState) int {
 // Stats.MemSteps upper bound), so appending never regrows it.
 func (e *Engine) collect(ps *pathState, st *Stats) []Access {
 	out := make([]Access, 0, ps.recovered)
+	samples := sampleCursor{samples: ps.tt.Samples}
 	for i, known := range ps.known {
 		if !known {
 			continue
@@ -370,7 +404,7 @@ func (e *Engine) collect(ps *pathState, st *Stats) []Access {
 		}
 		switch ps.origin[i] {
 		case OriginSampled:
-			a.TSC = ps.sampleAt[i].TSC
+			a.TSC = samples.at(i).TSC
 			st.Sampled++
 		case OriginForward:
 			a.TSC = ps.tt.EstimateTSC(i)

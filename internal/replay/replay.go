@@ -113,7 +113,7 @@ type Stats struct {
 	Backward    int
 	BasicBlock  int
 	PathSteps   int
-	MemSteps    int // memory-access instructions on the path
+	MemSteps    int // memory-access instructions on the path, counted by the first forward pass
 	Iterations  int // forward passes: 1, or 2 once backward replay learned facts
 	InvalidHits int // loads InvalidAddrs denied an emulated value, in the final forward pass
 }

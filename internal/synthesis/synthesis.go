@@ -43,10 +43,15 @@ type SyncStep struct {
 type ThreadTrace struct {
 	TID  int32
 	Path *ptdecode.Path
-	// Samples are the pinned PEBS records, ascending by StepIndex.
+	// Samples are the pinned PEBS records, ascending by StepIndex, each
+	// step on the path. Replay reads them through a cursor that advances
+	// with the step index, so this order is a contract.
 	Samples []Sample
 	// Sync are the thread's synchronization records, pinned where
-	// possible, in TSC order.
+	// possible, in TSC order. Pinned steps (StepIndex >= 0) lie on the
+	// path and ascend strictly — records zip with the SYSCALL steps in
+	// program order, one record per step — with unpinned records (-1)
+	// interleaved. Replay's cursor relies on this order too.
 	Sync []SyncStep
 	// UnpinnedSamples counts PEBS records that could not be located on the
 	// path (decoder truncation, marker loss); they are still usable as
@@ -204,7 +209,8 @@ func scanBack(p *prog.Program, path *ptdecode.Path, stepIndex int, ip uint64) (i
 }
 
 // pinSync zips the thread's sync records with the path's traced syscall
-// steps (both are in program order).
+// steps (both are in program order). The decoder recorded the SYSCALL steps
+// as it walked, so only those steps are looked up, not the whole path.
 func pinSync(p *prog.Program, tt *ThreadTrace, recs []tracefmt.SyncRecord) {
 	// Collect path indices of sync syscalls with their kinds.
 	type pathSys struct {
@@ -212,9 +218,9 @@ func pinSync(p *prog.Program, tt *ThreadTrace, recs []tracefmt.SyncRecord) {
 		kind tracefmt.SyncKind
 	}
 	var steps []pathSys
-	for i, pc := range tt.Path.PCs {
-		in, ok := p.InstAt(pc)
-		if !ok || in.Op != isa.SYSCALL {
+	for _, i := range tt.Path.Syscalls {
+		in, ok := p.InstAt(tt.Path.PCs[i])
+		if !ok {
 			continue
 		}
 		if k, traced := syncKindOf(in.Sys); traced {

@@ -78,7 +78,9 @@ type PTPacket struct {
 	// Count is the repeat count for TNTRep/TNTRepEx (each repeat is a
 	// full 6-bit Bits pattern).
 	Count uint32
-	// Exceptions are TNTRepEx's deviating groups, ascending by Index.
+	// Exceptions are TNTRepEx's deviating groups, ascending by Index. A
+	// PTReader reuses their backing array: they are valid only until the
+	// reader's next call to Next.
 	Exceptions []TNTException
 	// Target is the TIP target address.
 	Target uint64
@@ -178,6 +180,7 @@ func AppendEnd(dst []byte) []byte { return append(dst, byte(PktEnd)) }
 type PTReader struct {
 	buf []byte
 	off int
+	exc []TNTException // reused backing array of PTPacket.Exceptions
 }
 
 // NewPTReader wraps an encoded stream.
@@ -250,12 +253,16 @@ func (r *PTReader) Next() (pkt PTPacket, done bool, err error) {
 			r.off -= 7
 			return PTPacket{}, true, &ErrCorrupt{Offset: r.off, Reason: "truncated TNTREPEX exceptions"}
 		}
+		r.exc = r.exc[:0]
 		for k := 0; k < nExc; k++ {
-			pkt.Exceptions = append(pkt.Exceptions, TNTException{
+			r.exc = append(r.exc, TNTException{
 				Index: binary.LittleEndian.Uint32(r.buf[r.off:]),
 				Bits:  r.buf[r.off+4],
 			})
 			r.off += 5
+		}
+		if nExc > 0 {
+			pkt.Exceptions = r.exc
 		}
 	case PktTIP:
 		if !need(9) {
