@@ -2,16 +2,19 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"prorace/internal/bugs"
 	"prorace/internal/pmu/driver"
+	"prorace/internal/prog"
 	"prorace/internal/replay"
 	"prorace/internal/synthesis"
+	"prorace/internal/tracefmt"
 )
 
 // racyTrace returns a trace of a bug workload dense enough to detect the
-// planted race and drive the §5.1 invalidation/regeneration rounds.
+// planted race and drive the §5.1 feedback step.
 func racyTrace(t *testing.T) (*bugs.Built, *TraceResult) {
 	t.Helper()
 	bug, err := bugs.ByID("mysql-3596")
@@ -29,6 +32,29 @@ func racyTrace(t *testing.T) (*bugs.Built, *TraceResult) {
 	return built, tr
 }
 
+// cacheFixture is one racy trace the path-cache equivalence tests analyse.
+type cacheFixture struct {
+	name string
+	p    *prog.Program
+	tr   *tracefmt.Trace
+	// regenerates marks the fixture whose §5.1 feedback re-replays a
+	// thread; the tests require it to, so the feedback path is covered.
+	regenerates bool
+}
+
+// cacheFixtures returns mysql-3596, whose races no thread's replay
+// consumed, and the racy-pointer program, whose feedback re-replays the
+// consuming thread.
+func cacheFixtures(t *testing.T) []cacheFixture {
+	t.Helper()
+	built, tr := racyTrace(t)
+	rp, rtr := racyPointerTrace(t)
+	return []cacheFixture{
+		{name: "mysql-3596", p: built.Workload.Program, tr: tr.Trace},
+		{name: "racy-pointer", p: rp, tr: rtr, regenerates: true},
+	}
+}
+
 // mustMatch asserts two analyses are byte-identical where determinism is
 // promised: the full report structs (order included), replay stats, and
 // the per-thread access streams.
@@ -40,7 +66,7 @@ func mustMatch(t *testing.T, label string, want, got *AnalysisResult) {
 	if want.ReplayStats != got.ReplayStats {
 		t.Fatalf("%s: replay stats differ:\nwant %+v\n got %+v", label, want.ReplayStats, got.ReplayStats)
 	}
-	if want.Regenerated != got.Regenerated {
+	if want.Regenerated != got.Regenerated || !slices.Equal(want.FeedbackTIDs, got.FeedbackTIDs) {
 		t.Fatalf("%s: regeneration behaviour differs", label)
 	}
 	if !reflect.DeepEqual(want.Accesses, got.Accesses) {
@@ -49,95 +75,100 @@ func mustMatch(t *testing.T, label string, want, got *AnalysisResult) {
 }
 
 func TestPathCacheHitMatchesFreshDecode(t *testing.T) {
-	built, tr := racyTrace(t)
-	opts := AnalysisOptions{Mode: replay.ModeForwardBackward}
+	for _, fx := range cacheFixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			opts := AnalysisOptions{Mode: replay.ModeForwardBackward}
 
-	noCache := opts
-	noCache.DisablePathCache = true
-	fresh, err := Analyze(built.Workload.Program, tr.Trace, noCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.Reports) == 0 {
-		t.Fatal("workload produced no races; the test needs detection plus regeneration")
-	}
-	if !fresh.Regenerated {
-		t.Fatal("workload did not trigger §5.1 regeneration; pick a denser trace")
-	}
+			noCache := opts
+			noCache.DisablePathCache = true
+			fresh, err := Analyze(fx.p, fx.tr, noCache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fresh.Reports) == 0 {
+				t.Fatal("workload produced no races; the test needs detection plus feedback")
+			}
+			if fx.regenerates && !fresh.Regenerated {
+				t.Fatal("fixture did not trigger §5.1 regeneration")
+			}
 
-	cached := opts
-	cached.PathCache = synthesis.NewCache(2)
-	first, err := Analyze(built.Workload.Program, tr.Trace, cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.DecodeCacheHit {
-		t.Error("first analysis through an empty cache cannot be a hit")
-	}
-	second, err := Analyze(built.Workload.Program, tr.Trace, cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.DecodeCacheHit {
-		t.Error("second analysis of the identical trace should hit the cache")
-	}
-	if cached.PathCache.Hits() == 0 || cached.PathCache.Misses() == 0 {
-		t.Errorf("counters: hits=%d misses=%d, want both nonzero",
-			cached.PathCache.Hits(), cached.PathCache.Misses())
-	}
+			cached := opts
+			cached.PathCache = synthesis.NewCache(2)
+			first, err := Analyze(fx.p, fx.tr, cached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.DecodeCacheHit {
+				t.Error("first analysis through an empty cache cannot be a hit")
+			}
+			second, err := Analyze(fx.p, fx.tr, cached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !second.DecodeCacheHit {
+				t.Error("second analysis of the identical trace should hit the cache")
+			}
+			if cached.PathCache.Hits() == 0 || cached.PathCache.Misses() == 0 {
+				t.Errorf("counters: hits=%d misses=%d, want both nonzero",
+					cached.PathCache.Hits(), cached.PathCache.Misses())
+			}
 
-	mustMatch(t, "cache-miss vs cache-off", fresh, first)
-	mustMatch(t, "cache-hit vs cache-off", fresh, second)
+			mustMatch(t, "cache-miss vs cache-off", fresh, first)
+			mustMatch(t, "cache-hit vs cache-off", fresh, second)
+		})
+	}
 }
 
-// TestPathCacheEquivalenceAcrossParallelism re-analyses one racy trace —
-// multi-round: detection feeds racy addresses back into reconstruction —
+// TestPathCacheEquivalenceAcrossParallelism re-analyses each racy fixture
+// — multi-round: detection feeds racy addresses back into reconstruction —
 // under every {workers, shards} combination, cache on (warm) and off, and
 // requires byte-identical reports throughout.
 func TestPathCacheEquivalenceAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full parallelism sweep is slow")
 	}
-	built, tr := racyTrace(t)
-
-	noCache := AnalysisOptions{Mode: replay.ModeForwardBackward, DisablePathCache: true}
-	want, err := Analyze(built.Workload.Program, tr.Trace, noCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Regenerated {
-		t.Fatal("reference analysis did not regenerate")
-	}
-
-	cache := synthesis.NewCache(2)
-	for _, workers := range []int{0, 1, 4, 7} {
-		for _, shards := range []int{0, 1, 4, 7} {
-			opts := AnalysisOptions{
-				Mode:    replay.ModeForwardBackward,
-				Workers: workers, DetectShards: shards,
-				PathCache: cache,
-			}
-			got, err := Analyze(built.Workload.Program, tr.Trace, opts)
+	for _, fx := range cacheFixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			noCache := AnalysisOptions{Mode: replay.ModeForwardBackward, DisablePathCache: true}
+			want, err := Analyze(fx.p, fx.tr, noCache)
 			if err != nil {
-				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+				t.Fatal(err)
 			}
-			label := func(suffix string) string {
-				return "workers=" + itoa(workers) + " shards=" + itoa(shards) + " " + suffix
+			if fx.regenerates && !want.Regenerated {
+				t.Fatal("reference analysis did not regenerate")
 			}
-			mustMatch(t, label("cached"), want, got)
 
-			off := opts
-			off.PathCache = nil
-			off.DisablePathCache = true
-			cold, err := Analyze(built.Workload.Program, tr.Trace, off)
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d uncached: %v", workers, shards, err)
+			cache := synthesis.NewCache(2)
+			for _, workers := range []int{0, 1, 4, 7} {
+				for _, shards := range []int{0, 1, 4, 7} {
+					opts := AnalysisOptions{
+						Mode:    replay.ModeForwardBackward,
+						Workers: workers, DetectShards: shards,
+						PathCache: cache,
+					}
+					got, err := Analyze(fx.p, fx.tr, opts)
+					if err != nil {
+						t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+					}
+					label := func(suffix string) string {
+						return "workers=" + itoa(workers) + " shards=" + itoa(shards) + " " + suffix
+					}
+					mustMatch(t, label("cached"), want, got)
+
+					off := opts
+					off.PathCache = nil
+					off.DisablePathCache = true
+					cold, err := Analyze(fx.p, fx.tr, off)
+					if err != nil {
+						t.Fatalf("workers=%d shards=%d uncached: %v", workers, shards, err)
+					}
+					mustMatch(t, label("uncached"), want, cold)
+				}
 			}
-			mustMatch(t, label("uncached"), want, cold)
-		}
-	}
-	if cache.Hits() == 0 {
-		t.Error("the sweep never hit the warm cache")
+			if cache.Hits() == 0 {
+				t.Error("the sweep never hit the warm cache")
+			}
+		})
 	}
 }
 

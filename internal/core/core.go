@@ -4,14 +4,15 @@
 //	offline: decode & synthesis → memory reconstruction → FastTrack
 //
 // It also implements the §5.1 safety feedback: when a race is detected on a
-// location whose reconstruction relied on emulated memory, the trace is
-// regenerated with that location invalidated, so reconstruction never
-// depends on racy emulated state.
+// location whose emulated value a thread's reconstruction consumed, that
+// thread is re-replayed with the location invalidated, so reconstruction
+// never depends on racy emulated state.
 package core
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -268,9 +269,13 @@ type AnalysisResult struct {
 	// Segments is the number of trace segments the producing Analyzer
 	// session accepted (0 for a plain whole-trace Analyze).
 	Segments int
-	// Regenerated is true when the §5.1 feedback loop re-ran
-	// reconstruction with racy locations invalidated.
+	// Regenerated is true when the §5.1 feedback re-replayed at least one
+	// thread with the racy locations invalidated (and so re-ran detection).
 	Regenerated bool
+	// FeedbackTIDs lists the threads that feedback re-replayed, ascending:
+	// those whose first-pass replay loaded an emulated value from a racy
+	// address.
+	FeedbackTIDs []int32
 	// DecodeCacheHit is true when decode + synthesis were served from the
 	// decoded-path cache instead of being recomputed.
 	DecodeCacheHit bool
@@ -444,89 +449,61 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 	}
 
 	var (
-		accesses map[int32][]replay.Access
-		det      race.ReportSink
+		rp  *replayPass
+		det race.ReportSink
 	)
 	if workers > 1 {
 		spanStream := tel.StartSpan("reconstruct+detect")
-		var rstats replay.Stats
 		var reconT, detT time.Duration
 		var terrs []*ThreadError
-		accesses, rstats, det, reconT, detT, terrs = streamPass(engine, tts, tr.Sync, workers, shards, ropts, retries)
+		rp, det, reconT, detT, terrs = streamPass(engine, tts, tr.Sync, workers, shards, ropts, retries)
 		spanStream.End()
 		if err := absorbThreadErrors(terrs, opts.Strict, deg); err != nil {
 			return nil, err
 		}
-		res.ReplayStats = rstats
 		res.ReconstructTime, res.DetectTime = reconT, detT
 	} else {
 		t1 := time.Now()
 		spanRecon := tel.StartSpan("reconstruct")
-		var rstats replay.Stats
 		var terrs []*ThreadError
-		accesses, rstats, terrs = reconstructGuarded(engine, tts, retries)
+		rp, terrs = reconstructGuarded(engine, tts, retries)
 		spanRecon.End()
 		if err := absorbThreadErrors(terrs, opts.Strict, deg); err != nil {
 			return nil, err
 		}
 		res.ReconstructTime = time.Since(t1)
-		res.ReplayStats = rstats
 
 		t2 := time.Now()
 		spanDetect := tel.StartSpan("detect")
 		det = newReportSink(shards, ropts)
-		race.Feed(det, tr.Sync, accesses)
+		race.Feed(det, tr.Sync, rp.accesses)
 		det.Finish()
 		spanDetect.End()
 		res.DetectTime = time.Since(t2)
 	}
 
 	// §5.1 feedback: if races were found and reconstruction used memory
-	// emulation, regenerate the trace with the racy locations invalidated
-	// so no reconstructed address depended on racy emulated memory, then
-	// detect again.
+	// emulation, no reconstructed address may depend on a racy location's
+	// emulated value.
 	if !opts.DisableRaceFeedback && opts.Mode != replay.ModeBasicBlock &&
 		!opts.DisableMemoryEmulation && len(det.RacyAddrSet()) > 0 {
 		spanFeedback := tel.StartSpan("feedback")
-		engine2 := replay.NewEngine(p, replay.Config{Mode: opts.Mode, InvalidAddrs: det.RacyAddrSet(), Telemetry: tel})
-		if workers > 1 {
-			// The streamed pass detects while it reconstructs; adopt its
-			// output only when the invalidation actually changed the trace.
-			accesses2, rstats2, det2, reconT2, detT2, terrs2 := streamPass(engine2, tts, tr.Sync, workers, shards, ropts, retries)
-			if err := absorbThreadErrors(terrs2, opts.Strict, deg); err != nil {
-				return nil, err
-			}
-			res.ReconstructTime += reconT2
-			if rstats2.InvalidHits > 0 {
-				res.DetectTime += detT2
-				det = det2
-				res.ReplayStats = rstats2
-				accesses = accesses2
-				res.Regenerated = true
-			}
-		} else {
-			t1b := time.Now()
-			accesses2, rstats2, terrs2 := reconstructGuarded(engine2, tts, retries)
-			if err := absorbThreadErrors(terrs2, opts.Strict, deg); err != nil {
-				return nil, err
-			}
-			res.ReconstructTime += time.Since(t1b)
-			if rstats2.InvalidHits > 0 {
-				t2b := time.Now()
-				det2 := newReportSink(shards, ropts)
-				race.Feed(det2, tr.Sync, accesses2)
-				det2.Finish()
-				res.DetectTime += time.Since(t2b)
-				det = det2
-				res.ReplayStats = rstats2
-				accesses = accesses2
-				res.Regenerated = true
-			}
-		}
+		fb := feedback(p, opts.Mode, det.RacyAddrSet(), tts, tr.Sync, rp, shards, ropts, retries)
 		spanFeedback.End()
+		if err := absorbThreadErrors(fb.terrs, opts.Strict, deg); err != nil {
+			return nil, err
+		}
+		res.ReconstructTime += fb.reconTime
+		res.DetectTime += fb.detectTime
+		if fb.det != nil {
+			det = fb.det
+			res.FeedbackTIDs = fb.tids
+			res.Regenerated = true
+		}
 	}
 
-	res.Accesses = accesses
+	res.ReplayStats = rp.total()
+	res.Accesses = rp.accesses
 	res.Reports = det.Reports()
 	res.RacyAddrs = det.RacyAddrSet()
 	flagGapAdjacent(res, tts, gaps, deg)
@@ -585,29 +562,120 @@ func synthesizeGuarded(p *prog.Program, tr *tracefmt.Trace, sopts synthesis.Opti
 	return out, nil
 }
 
+// replayPass is one reconstruction pass's output, per thread.
+type replayPass struct {
+	accesses map[int32][]replay.Access
+	stats    map[int32]replay.Stats
+	// consumed holds each thread's consumed set (see replay.Consumed): the
+	// input of the §5.1 feedback step.
+	consumed map[int32]replay.Consumed
+}
+
+func newReplayPass(n int) *replayPass {
+	return &replayPass{
+		accesses: make(map[int32][]replay.Access, n),
+		stats:    make(map[int32]replay.Stats, n),
+		consumed: make(map[int32]replay.Consumed, n),
+	}
+}
+
+// put records one thread's reconstruction.
+func (rp *replayPass) put(tid int32, acc []replay.Access, st replay.Stats, consumed replay.Consumed) {
+	rp.accesses[tid] = acc
+	rp.stats[tid] = st
+	if consumed != nil {
+		rp.consumed[tid] = consumed
+	}
+}
+
+// drop forgets a thread whose reconstruction failed.
+func (rp *replayPass) drop(tid int32) {
+	delete(rp.accesses, tid)
+	delete(rp.stats, tid)
+	delete(rp.consumed, tid)
+}
+
+// total merges the per-thread stats.
+func (rp *replayPass) total() replay.Stats {
+	var agg replay.Stats
+	for _, st := range rp.stats {
+		agg.Merge(st)
+	}
+	return agg
+}
+
 // reconstructGuarded is the sequential reconstruction pass with per-thread
 // error isolation; failures are returned for the caller to absorb or
 // abort on.
-func reconstructGuarded(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, retries int) (map[int32][]replay.Access, replay.Stats, []*ThreadError) {
-	out := make(map[int32][]replay.Access, len(tts))
-	var agg replay.Stats
+func reconstructGuarded(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, retries int) (*replayPass, []*ThreadError) {
+	rp := newReplayPass(len(tts))
 	var terrs []*ThreadError
 	for tid, tt := range tts {
 		tid, tt := tid, tt
-		var acc []replay.Access
-		var st replay.Stats
+		var (
+			acc      []replay.Access
+			st       replay.Stats
+			consumed replay.Consumed
+		)
 		te := runWithRetry(tid, "reconstruct", retries, func() error {
-			acc, st = engine.ReconstructThread(tt)
+			acc, st, consumed = engine.ReconstructThread(tt)
 			return nil
 		})
 		if te != nil {
 			terrs = append(terrs, te)
 			continue
 		}
-		out[tid] = acc
-		agg.Merge(st)
+		rp.put(tid, acc, st, consumed)
 	}
-	return out, agg, terrs
+	return rp, terrs
+}
+
+// feedbackResult is the outcome of the §5.1 feedback step.
+type feedbackResult struct {
+	// tids lists the re-replayed threads, ascending.
+	tids []int32
+	// det is the re-run detector, nil when no thread was re-replayed.
+	det                   race.ReportSink
+	reconTime, detectTime time.Duration
+	terrs                 []*ThreadError
+}
+
+// feedback is the §5.1 step shared by the sequential and the streamed
+// analysis. It re-replays, with the racy addresses invalidated, only the
+// threads whose consumed set meets them, replacing their accesses and
+// stats in rp, and re-runs detection over rp when it re-replayed any.
+// Every other thread would re-replay to exactly its first-pass result
+// (DESIGN.md §5 item 8), so it keeps that result.
+func feedback(p *prog.Program, mode replay.Mode, racy map[uint64]bool, tts map[int32]*synthesis.ThreadTrace, syncRecs []tracefmt.SyncRecord, rp *replayPass, shards int, ropts race.Options, retries int) feedbackResult {
+	var fb feedbackResult
+	for tid, consumed := range rp.consumed {
+		if consumed.Meets(racy) {
+			fb.tids = append(fb.tids, tid)
+		}
+	}
+	if len(fb.tids) == 0 {
+		return fb
+	}
+	slices.Sort(fb.tids)
+	t0 := time.Now()
+	sub := make(map[int32]*synthesis.ThreadTrace, len(fb.tids))
+	for _, tid := range fb.tids {
+		sub[tid] = tts[tid]
+		rp.drop(tid) // a failed re-replay leaves the thread out, as in the first pass
+	}
+	engine := replay.NewEngine(p, replay.Config{Mode: mode, InvalidAddrs: racy, Telemetry: ropts.Telemetry})
+	again, terrs := reconstructGuarded(engine, sub, retries)
+	for tid, acc := range again.accesses {
+		rp.put(tid, acc, again.stats[tid], nil)
+	}
+	fb.terrs = terrs
+	fb.reconTime = time.Since(t0)
+	t1 := time.Now()
+	fb.det = newReportSink(shards, ropts)
+	race.Feed(fb.det, syncRecs, rp.accesses)
+	fb.det.Finish()
+	fb.detectTime = time.Since(t1)
+	return fb
 }
 
 // absorbThreadErrors applies the strictness policy to a batch of isolated

@@ -76,7 +76,7 @@ func synthesizeParallel(p *prog.Program, tr *tracefmt.Trace, workers int, sopts 
 // Returned timings: the reconstruction stage's wall clock, and the
 // detection tail that ran on after the last thread was reconstructed (the
 // two stages overlap; their sum is the pass's elapsed time).
-func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syncRecs []tracefmt.SyncRecord, workers, shards int, ropts race.Options, retries int) (map[int32][]replay.Access, replay.Stats, race.ReportSink, time.Duration, time.Duration, []*ThreadError) {
+func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syncRecs []tracefmt.SyncRecord, workers, shards int, ropts race.Options, retries int) (*replayPass, race.ReportSink, time.Duration, time.Duration, []*ThreadError) {
 	start := time.Now()
 	syncByTID := race.SyncByTID(syncRecs)
 
@@ -131,8 +131,7 @@ func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syn
 	work := make(chan int32, len(tts))
 	var (
 		mu    sync.Mutex
-		out   = map[int32][]replay.Access{}
-		agg   replay.Stats
+		rp    = newReplayPass(len(tts))
 		terrs []*ThreadError
 	)
 	// Per-thread reconstruction lanes in the timeline (track 1+tid so
@@ -151,10 +150,13 @@ func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syn
 				if tel != nil {
 					sp = tel.StartSpanTrack("reconstruct t"+strconv.Itoa(int(tid)), 1+int(tid))
 				}
-				var acc []replay.Access
-				var st replay.Stats
+				var (
+					acc      []replay.Access
+					st       replay.Stats
+					consumed replay.Consumed
+				)
 				te := runWithRetry(tid, "reconstruct", retries, func() error {
-					acc, st = engine.ReconstructThread(tts[tid])
+					acc, st, consumed = engine.ReconstructThread(tts[tid])
 					return nil
 				})
 				sp.End()
@@ -168,8 +170,7 @@ func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syn
 					continue
 				}
 				mu.Lock()
-				out[tid] = acc
-				agg.Merge(st)
+				rp.put(tid, acc, st, consumed)
 				mu.Unlock()
 				go emit(tid, acc)
 			}
@@ -184,5 +185,5 @@ func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syn
 	reconTime := time.Since(start)
 	<-detDone
 	detectTail := time.Since(start) - reconTime
-	return out, agg, sink, reconTime, detectTail, terrs
+	return rp, sink, reconTime, detectTail, terrs
 }

@@ -77,8 +77,9 @@ func publishAnalysis(tel *telemetry.Registry, res *AnalysisResult) {
 		tel.Counter("prorace_analysis_degraded_runs_total", "Analyses that gave something up (Degradation.Degraded).").Inc()
 	}
 	if res.Regenerated {
-		tel.Counter("prorace_analysis_regenerations_total", "Analyses re-run by the §5.1 racy-address feedback loop (AnalysisResult.Regenerated).").Inc()
+		tel.Counter("prorace_analysis_regenerations_total", "Analyses whose §5.1 racy-address feedback re-replayed at least one thread and re-ran detection (AnalysisResult.Regenerated).").Inc()
 	}
+	tel.Counter("prorace_feedback_threads_replayed_total", "Threads the §5.1 feedback re-replayed because their replay loaded an emulated value from a racy address (AnalysisResult.FeedbackTIDs).").AddInt(len(res.FeedbackTIDs))
 	tel.Counter("prorace_analysis_thread_errors_total", "Isolated per-thread stage failures (Degradation.ThreadErrors).").AddInt(len(deg.ThreadErrors))
 	tel.Counter("prorace_analysis_dropped_threads_total", "Threads dropped after exhausting retries (Degradation.DroppedThreads).").AddInt(len(deg.DroppedThreads))
 	retries := 0

@@ -105,3 +105,35 @@ func TestReconstructTelemetryMatchesStats(t *testing.T) {
 		t.Errorf("iterations histogram count = %d, want one observation per thread (%d)", got, len(tts))
 	}
 }
+
+// TestConsumedSetAllocs pins the cost of the consumed set. Its working
+// buffer lives in the pooled pathState, so a warm reconstruction pays one
+// allocation for the returned copy, and none when the thread consumed no
+// emulated value. The baseline is the same thread without memory
+// emulation, which consumes nothing and otherwise allocates the same.
+func TestConsumedSetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts: sync.Pool drops items at random under the race detector")
+	}
+	w, tts := allocWorkload(t)
+	engine := NewEngine(w.Program, Config{Mode: ModeForwardBackward})
+	noEmu := engine.DisableMemoryEmulation()
+	consumers := 0
+	for tid, tt := range tts {
+		_, _, consumed := engine.ReconstructThread(tt) // warm the pool
+		noEmu.ReconstructThread(tt)
+		base := testing.AllocsPerRun(5, func() { noEmu.ReconstructThread(tt) })
+		with := testing.AllocsPerRun(5, func() { engine.ReconstructThread(tt) })
+		want := base
+		if len(consumed) > 0 {
+			consumers++
+			want++
+		}
+		if with != want {
+			t.Errorf("tid %d: %.1f allocs/run returning %d consumed addresses, want %.1f", tid, with, len(consumed), want)
+		}
+	}
+	if consumers == 0 {
+		t.Fatal("no thread consumed an emulated value: the test exercises nothing")
+	}
+}

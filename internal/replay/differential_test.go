@@ -99,7 +99,7 @@ func compareThreads(t *testing.T, name string, p *prog.Program, tts map[int32]*s
 	t.Helper()
 	e := replay.NewEngine(p, cfg)
 	for tid, tt := range tts {
-		acc, st := e.ReconstructThread(tt)
+		acc, st, _ := e.ReconstructThread(tt)
 		refAcc, refSt := e.ReconstructIterated(tt)
 		if !reflect.DeepEqual(acc, refAcc) {
 			t.Errorf("%s tid %d: accesses differ from the iterated reference (%d vs %d)", name, tid, len(acc), len(refAcc))

@@ -134,7 +134,7 @@ func programDigest(t *testing.T, dp digestProgram) []byte {
 		fmt.Fprintf(h, "invalid %d\n", len(invalid))
 		e := replay.NewEngine(dp.w.Program, replay.Config{Mode: replay.ModeForwardBackward, InvalidAddrs: invalid})
 		for _, tid := range tids {
-			acc, st := e.ReconstructThread(tts[tid])
+			acc, st, _ := e.ReconstructThread(tts[tid])
 			hashThread(h, tid, acc, st)
 		}
 	}

@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"slices"
+
 	"prorace/internal/isa"
 	"prorace/internal/synthesis"
 	"prorace/internal/tracefmt"
@@ -48,6 +50,10 @@ type pathState struct {
 	// recovered counts steps with known[i] set — the exact capacity the
 	// access list needs (upper-bounded by Stats.MemSteps).
 	recovered int
+	// consumed lists the addresses from which a load took its value out of
+	// mem, over every forward pass. Runs of one address are stored once;
+	// reconstructPath sorts and compacts the list before copying it out.
+	consumed []uint64
 }
 
 // resetSlice returns s resized to n and zeroed, reusing capacity.
@@ -74,6 +80,7 @@ func (ps *pathState) reset(tt *synthesis.ThreadTrace) {
 		ps.mem = map[uint64]uint64{}
 	}
 	ps.recovered = 0
+	ps.consumed = ps.consumed[:0]
 }
 
 // sampleCursor walks tt.Samples, which are ascending by StepIndex, in step
@@ -146,7 +153,7 @@ func (ps *pathState) release() {
 }
 
 // reconstructPath runs the path-guided modes (Forward, ForwardBackward).
-func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace) ([]Access, Stats) {
+func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace) ([]Access, Stats, Consumed) {
 	ps := e.states.Get().(*pathState)
 	if ps.origin != nil {
 		e.met.recycles.Inc() // warm state: prior capacity is being reused
@@ -172,7 +179,12 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace) ([]Access, Stats) {
 		}
 	}
 
-	return e.appendUnpinned(e.collect(ps, &st), tt, &st), st
+	var consumed Consumed
+	if len(ps.consumed) > 0 {
+		slices.Sort(ps.consumed)
+		consumed = slices.Clone(slices.Compact(ps.consumed))
+	}
+	return e.appendUnpinned(e.collect(ps, &st), tt, &st), st, consumed
 }
 
 // appendUnpinned adds the samples that could not be pinned to the path:
@@ -220,9 +232,11 @@ func (e *Engine) sampleAccess(rec *tracefmt.PEBSRecord, st *Stats) Access {
 // forwardPass is the §5.1 forward replay over the whole path: registers are
 // restored at every sample, availability is tracked in the program map, and
 // every memory operand whose address becomes computable is recovered.
-// It returns the number of loads whose emulated value InvalidAddrs
-// suppressed (Stats.InvalidHits) and the number of memory-access
-// instructions on the path (Stats.MemSteps).
+// Values stored to an InvalidAddrs address still enter the emulated
+// memory; a load from such an address refuses them. The pass returns the
+// number of those refusals (Stats.InvalidHits) and the number of
+// memory-access instructions on the path (Stats.MemSteps), and appends
+// every address a load did take an emulated value from to ps.consumed.
 func (e *Engine) forwardPass(ps *pathState) (invalidHits, memSteps int) {
 	var rf regFile // all-unavailable before the first sample
 	mem := ps.mem
@@ -278,7 +292,7 @@ func (e *Engine) forwardPass(ps *pathState) (invalidHits, memSteps int) {
 				ps.recovered++
 			}
 			rf = regFileFromSample(rec)
-			if e.cfg.EmulateMemory && !invalidAddr(rec.Addr) {
+			if e.cfg.EmulateMemory {
 				if in.Op == isa.LOAD {
 					// The loaded value is the post-state of rd.
 					mem[rec.Addr] = rf.get(in.Rd)
@@ -300,20 +314,30 @@ func (e *Engine) forwardPass(ps *pathState) (invalidHits, memSteps int) {
 			}
 			switch in.Op {
 			case isa.LOAD:
-				if v, hit := mem[addr]; okAddr && hit && e.cfg.EmulateMemory && !invalidAddr(addr) {
-					rf.set(in.Rd, v)
-				} else {
-					if okAddr && invalidAddr(addr) {
-						hits++
-					}
+				// mem is empty without EmulateMemory, so hit implies it.
+				v, hit := uint64(0), false
+				if okAddr {
+					v, hit = mem[addr]
+				}
+				switch {
+				case !hit:
 					rf.clear(in.Rd)
+				case invalidAddr(addr):
+					// §5.1: a racy location's emulated value is refused.
+					hits++
+					rf.clear(in.Rd)
+				default:
+					rf.set(in.Rd, v)
+					if n := len(ps.consumed); n == 0 || ps.consumed[n-1] != addr {
+						ps.consumed = append(ps.consumed, addr)
+					}
 				}
 			case isa.STORE:
 				if !okAddr {
 					// A store to an unknown location may clobber anything:
 					// conservatively invalidate the emulated memory (§5.1).
 					memDrop()
-				} else if e.cfg.EmulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
+				} else if e.cfg.EmulateMemory && rf.has(in.Rs) {
 					mem[addr] = rf.get(in.Rs)
 				} else {
 					delete(mem, addr)

@@ -70,8 +70,10 @@ type Config struct {
 	// MaxBackwardSteps bounds one backward walk (default 200k).
 	MaxBackwardSteps int
 	// InvalidAddrs are addresses whose emulated-memory contents must not
-	// be trusted — the detector feeds back racy locations here and
-	// reconstruction is re-run, implementing §5.1's trace regeneration.
+	// be trusted — the detector feeds back racy locations here and the
+	// threads that consumed one are re-replayed, implementing §5.1's trace
+	// regeneration. A load from such an address refuses the emulated
+	// value; nothing else in reconstruction reads the set.
 	InvalidAddrs map[uint64]bool
 	// Telemetry receives the prorace_replay_* series. Metric handles are
 	// resolved once at NewEngine and flushed once per reconstructed thread;
@@ -115,7 +117,7 @@ type Stats struct {
 	PathSteps   int
 	MemSteps    int // memory-access instructions on the path, counted by the first forward pass
 	Iterations  int // forward passes: 1, or 2 once backward replay learned facts
-	InvalidHits int // loads InvalidAddrs denied an emulated value, in the final forward pass
+	InvalidHits int // loads that refused the emulated value memory held at an InvalidAddrs address, in the final forward pass
 }
 
 // Merge folds another thread's stats into s: counters add, Iterations
@@ -236,20 +238,40 @@ func (e *Engine) DisableMemoryEmulation() *Engine {
 	return &cp
 }
 
-// ReconstructThread produces the extended memory trace of one thread.
-func (e *Engine) ReconstructThread(tt *synthesis.ThreadTrace) ([]Access, Stats) {
+// Consumed is a thread's consumed set: the addresses, ascending, from
+// which a load on its path took its value out of emulated memory in any
+// forward pass. A reconstruction whose InvalidAddrs miss this set repeats
+// the reconstruction without InvalidAddrs exactly (DESIGN.md §5 item 8),
+// which is how the §5.1 feedback picks the threads it must re-replay.
+type Consumed []uint64
+
+// Meets reports whether any address of c is in set.
+func (c Consumed) Meets(set map[uint64]bool) bool {
+	for _, addr := range c {
+		if set[addr] {
+			return true
+		}
+	}
+	return false
+}
+
+// ReconstructThread produces the extended memory trace of one thread and
+// its consumed set (nil in basic-block mode, which emulates no memory, and
+// for a thread that consumed no emulated value).
+func (e *Engine) ReconstructThread(tt *synthesis.ThreadTrace) ([]Access, Stats, Consumed) {
 	var (
-		acc []Access
-		st  Stats
+		acc      []Access
+		st       Stats
+		consumed Consumed
 	)
 	switch e.cfg.Mode {
 	case ModeBasicBlock:
 		acc, st = e.reconstructBB(tt)
 	default:
-		acc, st = e.reconstructPath(tt)
+		acc, st, consumed = e.reconstructPath(tt)
 	}
 	e.met.publish(&st)
-	return acc, st
+	return acc, st, consumed
 }
 
 // ReconstructAll runs reconstruction over every thread, returning accesses
@@ -258,7 +280,7 @@ func (e *Engine) ReconstructAll(tts map[int32]*synthesis.ThreadTrace) (map[int32
 	out := make(map[int32][]Access, len(tts))
 	var agg Stats
 	for tid, tt := range tts {
-		acc, st := e.ReconstructThread(tt)
+		acc, st, _ := e.ReconstructThread(tt)
 		out[tid] = acc
 		agg.Merge(st)
 	}

@@ -293,7 +293,17 @@ func (in *Interner) Refs(r Ref) int32 {
 // released (callers that replace r must Release it themselves). scratch is
 // reused as the build buffer and returned for the next call, so a steady
 // update loop allocates nothing once warm.
+//
+// When t's entry already is c the result is r itself. Interning the
+// rebuilt copy would find r, so r is retained and counted as a hit
+// directly, skipping the copy and the hash — the common case of a thread
+// re-reading a read-shared variable within one epoch.
 func (in *Interner) WithSet(r Ref, t TID, c uint64, scratch []uint64) (Ref, []uint64) {
+	if r != NilRef && in.At(r, t) == c {
+		in.Retain(r)
+		in.hits++
+		return r, scratch
+	}
 	cur := in.Clocks(r)
 	n := len(cur)
 	if int(t)+1 > n {

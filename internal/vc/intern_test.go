@@ -227,3 +227,83 @@ func TestInternBytesBounded(t *testing.T) {
 		t.Errorf("pool footprint %d bytes after churn, want region recycling to bound it", b)
 	}
 }
+
+// withSetRebuild is WithSet without the unchanged-entry fast path: it
+// always rebuilds the vector and interns the copy.
+func withSetRebuild(in *Interner, r Ref, t TID, c uint64, scratch []uint64) (Ref, []uint64) {
+	cur := in.Clocks(r)
+	n := max(len(cur), int(t)+1)
+	if cap(scratch) < n {
+		scratch = make([]uint64, n)
+	}
+	scratch = scratch[:n]
+	copy(scratch, cur)
+	clear(scratch[len(cur):])
+	scratch[t] = c
+	return in.Intern(scratch), scratch
+}
+
+// TestInternWithSetFastPathMatchesRebuild drives one random read-shared
+// update sequence through WithSet and through the rebuilding path, the
+// way the detector does (WithSet, then Release of the replaced vector,
+// with occasional inflations and frees), and requires identical handles,
+// reference counts and pool counters — every interner figure that
+// ShadowStats reports — after every step.
+func TestInternWithSetFastPathMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fast, slow := NewInterner(), NewInterner()
+	const vars = 24
+	var fastVars, slowVars [vars]Ref
+	var fastScratch, slowScratch []uint64
+	fastPath := 0
+	for step := 0; step < 20000; step++ {
+		v := rng.Intn(vars)
+		switch {
+		case fastVars[v] == NilRef:
+			// Inflation: a fresh two-reader vector.
+			clocks := make([]uint64, 2+rng.Intn(4))
+			for i := range clocks {
+				clocks[i] = uint64(rng.Intn(3))
+			}
+			clocks[rng.Intn(len(clocks))] = 1
+			fastVars[v], slowVars[v] = fast.Intern(clocks), slow.Intern(clocks)
+		case rng.Intn(50) == 0:
+			// The variable is freed.
+			fast.Release(fastVars[v])
+			slow.Release(slowVars[v])
+			fastVars[v], slowVars[v] = NilRef, NilRef
+		default:
+			// A read: thread t at clock c, often t's clock already there.
+			tid := TID(rng.Intn(6))
+			c := fast.At(fastVars[v], tid)
+			if rng.Intn(3) == 0 {
+				c = uint64(rng.Intn(4))
+			}
+			if fast.At(fastVars[v], tid) == c {
+				fastPath++
+			}
+			oldF, oldS := fastVars[v], slowVars[v]
+			fastVars[v], fastScratch = fast.WithSet(oldF, tid, c, fastScratch)
+			slowVars[v], slowScratch = withSetRebuild(slow, oldS, tid, c, slowScratch)
+			fast.Release(oldF)
+			slow.Release(oldS)
+		}
+		if fastVars[v] != slowVars[v] {
+			t.Fatalf("step %d: handle %d, rebuilding path %d", step, fastVars[v], slowVars[v])
+		}
+		for i := range fastVars {
+			if fast.Refs(fastVars[i]) != slow.Refs(slowVars[i]) {
+				t.Fatalf("step %d: var %d refs %d, rebuilding path %d", step, i, fast.Refs(fastVars[i]), slow.Refs(slowVars[i]))
+			}
+		}
+		if fast.Live() != slow.Live() || fast.Hits() != slow.Hits() || fast.Misses() != slow.Misses() ||
+			fast.Reuses() != slow.Reuses() || fast.Bytes() != slow.Bytes() {
+			t.Fatalf("step %d: live/hits/misses/reuses/bytes %d/%d/%d/%d/%d, rebuilding path %d/%d/%d/%d/%d", step,
+				fast.Live(), fast.Hits(), fast.Misses(), fast.Reuses(), fast.Bytes(),
+				slow.Live(), slow.Hits(), slow.Misses(), slow.Reuses(), slow.Bytes())
+		}
+	}
+	if fastPath < 1000 {
+		t.Fatalf("only %d updates took the fast path", fastPath)
+	}
+}
